@@ -1,6 +1,6 @@
 # Convenience targets for the PAE reproduction.
 
-.PHONY: install test chaos chaos-env dirty serve-chaos bench bench-fast bench-runner bench-pipeline bench-train bench-serve bench-scale verify examples clean
+.PHONY: install test chaos chaos-env dirty serve-chaos bench bench-fast bench-runner bench-pipeline bench-train bench-scale verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -59,12 +59,6 @@ bench-pipeline:
 # exact-path bit-identity verdict).
 bench-train:
 	PYTHONPATH=src python -m repro.perf.bench_train --out BENCH_train.json
-
-# Serve-path bench over real HTTP: p50/p99 latency + throughput at 8
-# concurrent clients, plus shed/quarantine/breaker counters under an
-# overload burst and a seeded chaos phase -> BENCH_serve.json.
-bench-serve:
-	PYTHONPATH=src python -m repro.perf.bench_serve --out BENCH_serve.json
 
 # Streamed-bootstrap scale bench: cold vs prep-cache-warm pages/sec,
 # peak RSS, shard counts and per-stage shares at 1k/10k/100k pages ->

@@ -209,8 +209,10 @@ class ServeConfig:
         max_deadline_seconds: cap on client-requested deadlines.
         batch_max_size: requests merged into one micro-batched tag
             call.
-        batch_max_wait_seconds: how long the batcher waits for
-            co-travellers after the first request arrives.
+        batch_max_wait_seconds: opt-in linger after the first request
+            arrives, gathering co-travellers. The default 0 dispatches
+            as soon as the batcher is free and batches whatever queued
+            meanwhile, so an idle server never waits.
         breaker_threshold: consecutive model failures that trip the
             breaker one rung down the degradation ladder.
         breaker_cooldown_seconds: wait before a half-open probe tries
@@ -228,7 +230,7 @@ class ServeConfig:
     deadline_seconds: float = 5.0
     max_deadline_seconds: float = 30.0
     batch_max_size: int = 16
-    batch_max_wait_seconds: float = 0.005
+    batch_max_wait_seconds: float = 0.0
     breaker_threshold: int = 3
     breaker_cooldown_seconds: float = 2.0
     drain_timeout_seconds: float = 10.0

@@ -1,10 +1,13 @@
 """Micro-batching for the serve hot path, with per-request isolation.
 
-Concurrent requests that resolved to the *same model bundle* are
-gathered (up to ``max_size`` jobs or ``max_wait_seconds``, whichever
-comes first) into one ``tagger.tag()`` call — the tagger internally
-length-buckets via :mod:`repro.perf.bucketing`, so a combined batch
-amortises feature extraction and padding across requests.
+One worker thread tags every request. It dispatches as soon as it is
+free: a job that arrives at an idle worker is tagged at once, and jobs
+that queued while a ``tag()`` call ran are gathered (up to ``max_size``
+of the same *model bundle*) into the next one. Batches thus form from
+load itself, without a linger that would idle an unloaded server. The
+tagger length-buckets internally via :mod:`repro.perf.bucketing`, so a
+combined batch amortises feature extraction and padding across
+requests.
 
 The failure contract is strict per-request isolation: when a combined
 batch raises (a strict-decode :class:`~repro.errors.ModelError` on one
@@ -85,13 +88,14 @@ class MicroBatcher:
 
     Args:
         max_size: most jobs merged into one ``tag()`` call.
-        max_wait_seconds: how long the worker lingers after the first
-            job arrives, gathering batch-mates, before tagging. Kept
-            tiny (milliseconds) — it trades a sliver of p50 for large
-            p99/throughput wins under concurrency.
+        max_wait_seconds: opt-in linger after the first job arrives,
+            gathering batch-mates before tagging. The default 0 tags
+            as soon as the worker is free and batches whatever queued
+            meanwhile; a positive wait delays every lone request by
+            that much.
     """
 
-    def __init__(self, max_size: int = 16, max_wait_seconds: float = 0.005):
+    def __init__(self, max_size: int = 16, max_wait_seconds: float = 0.0):
         self.max_size = max(1, max_size)
         self.max_wait_seconds = max(0.0, max_wait_seconds)
         self._cond = threading.Condition()
@@ -139,7 +143,7 @@ class MicroBatcher:
                 self._execute(batch)
 
     def _gather(self) -> list[BatchJob] | None:
-        """Block for a first job, linger briefly for same-bundle mates."""
+        """Block for a first job; take its queued same-bundle mates."""
         with self._cond:
             while self._running and not self._queue:
                 self._cond.wait()

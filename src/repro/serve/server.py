@@ -225,11 +225,14 @@ class ExtractionService:
             # Strict policy: the first failing check raises
             # PageQuarantinedError, which _quarantined() converts to
             # the structured 422 + ledger append.
-            result = self.gate.process([page])
+            result = self.gate.process([page], keep_roots=True)
             self._merge_warnings(result.warnings)
             from ..core.text import tokenize_page
 
-            return list(tokenize_page(result.pages[0]).sentences)
+            # Reuse the tree the gate parsed instead of parsing again.
+            return list(
+                tokenize_page(result.pages[0], result.roots[0]).sentences
+            )
         return list(
             split_sentences(request.product_id, [request.text or ""], nlp)
         )
@@ -488,6 +491,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: stdlib paths that still write twice (``send_error``
+    #: on a malformed request line) must not stall behind a delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         pass  # the service keeps its own counters; stderr stays quiet
@@ -499,14 +505,26 @@ class _Handler(BaseHTTPRequestHandler):
     def _send(
         self, status: int, payload: dict, headers: dict[str, str] | None = None
     ) -> None:
+        """Send status line, headers and body in one write.
+
+        ``end_headers()`` + ``wfile.write(body)`` is two segments; on a
+        keep-alive connection the body then waits for the client's
+        delayed ACK of the headers (~40 ms per request).
+        """
         body = encode_json(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # In place of end_headers(), which flushes the headers alone.
+        # HTTP/0.9 buffers no headers and gets the bare body.
+        buffer = getattr(self, "_headers_buffer", [])
+        if self.request_version != "HTTP/0.9":
+            buffer.append(b"\r\n")
+        buffer.append(body)
+        self._headers_buffer = buffer
+        self.flush_headers()
 
     def _read_body(self) -> bytes | None:
         """Read the request body; None (and a structured 400) if oversized."""

@@ -86,6 +86,46 @@ def test_concurrent_jobs_share_batches(batcher, make_sentence):
     assert batcher.batched_jobs == len(jobs)
 
 
+def test_idle_batcher_tags_a_lone_job_at_once(make_sentence):
+    """Default batcher: no linger, so a lone job on an idle worker is
+    tagged immediately; jobs that queue behind a running tag() call
+    still go out together in the next one."""
+    release = threading.Event()
+    first_call = threading.Event()
+
+    class GatedTagger(EchoTagger):
+        def __init__(self):
+            super().__init__()
+            self.batch_sizes = []
+
+        def tag(self, sentences):
+            self.batch_sizes.append(len(sentences))
+            if len(self.batch_sizes) == 1:
+                first_call.set()
+                assert release.wait(5.0)
+            return super().tag(sentences)
+
+    batcher = MicroBatcher()
+    assert batcher.max_wait_seconds == 0.0
+    bundle = FakeBundle(GatedTagger())
+    try:
+        lead = batcher.submit(_job(bundle, make_sentence, "lead"))
+        assert first_call.wait(5.0)
+        queued = [
+            batcher.submit(_job(bundle, make_sentence, f"q{i}"))
+            for i in range(3)
+        ]
+        release.set()
+        for job in (lead, *queued):
+            assert job.wait(5.0)
+            assert job.error is None
+        assert bundle.tagger.batch_sizes == [1, 3]
+        assert batcher.batches == 2
+    finally:
+        release.set()
+        batcher.close()
+
+
 def test_model_error_fails_only_the_poisoned_request(
     batcher, make_sentence
 ):

@@ -2,10 +2,14 @@
 
 import http.client
 import json
+import statistics
 import threading
+import time
 
 import pytest
 
+import repro.core.text as text_module
+import repro.ingest.gate as gate_module
 from repro.config import ServeConfig
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.serve import (
@@ -14,6 +18,7 @@ from repro.serve import (
     publish_bundle,
     start_server,
 )
+from repro.serve.server import _Handler
 
 pytestmark = pytest.mark.usefixtures("watchdog")
 
@@ -74,6 +79,48 @@ def test_html_request_is_gated_then_served(service):
     )
     assert status == 200
     assert {"attribute": "juryo", "value": "5 kg"} in payload["triples"]
+
+
+def test_html_request_parses_the_page_once(service, monkeypatch):
+    """The gate's DOM feeds tokenization: one tree build per request,
+    and the same triples as when tokenization parses the html itself."""
+    trees = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            trees.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        gate_module, "parse_token_stream",
+        counting("gate", gate_module.parse_token_stream),
+    )
+    monkeypatch.setattr(
+        text_module, "parse_html",
+        counting("tokenize", text_module.parse_html),
+    )
+    body = _body(
+        product_id="once",
+        html="<html><title>t</title><p>iro wa aka desu。</p>"
+        "<p>juryo wa 3 kg desu。</p></html>",
+    )
+    status, payload, _ = service.handle_extract(body)
+    assert status == 200
+    assert trees == ["gate"]
+
+    # Drop the root so tokenize_page parses the html again itself.
+    tokenize_page = text_module.tokenize_page
+    monkeypatch.setattr(
+        text_module, "tokenize_page",
+        lambda page, root=None: tokenize_page(page),
+    )
+    status, fresh, _ = service.handle_extract(body)
+    assert status == 200
+    assert trees == ["gate", "gate", "tokenize"]
+    assert payload["triples"]
+    assert fresh["triples"] == payload["triples"]
 
 
 @pytest.mark.parametrize(
@@ -258,6 +305,45 @@ def _request(server, method, path, body=None):
         conn.close()
 
 
+class _RecordingWriter:
+    def __init__(self):
+        self.writes: list[bytes] = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+def _unconnected_handler(version: str) -> _Handler:
+    handler = _Handler.__new__(_Handler)
+    handler.request_version = version
+    handler.requestline = f"POST /extract {version}"
+    handler.wfile = _RecordingWriter()
+    return handler
+
+
+def test_send_writes_headers_and_body_at_once():
+    """Header block and body leave in one write: a split write stalls a
+    keep-alive response behind the client's delayed ACK."""
+    handler = _unconnected_handler("HTTP/1.1")
+    handler._send(429, {"status": "error"}, {"Retry-After": "2"})
+    assert len(handler.wfile.writes) == 1
+    head, _, body = handler.wfile.writes[0].partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 429 ")
+    assert b"Content-Length: %d" % len(body) in head.split(b"\r\n")
+    assert b"Retry-After: 2" in head.split(b"\r\n")
+    assert json.loads(body) == {"status": "error"}
+    assert _Handler.disable_nagle_algorithm
+
+
+def test_send_answers_http09_with_the_bare_body():
+    handler = _unconnected_handler("HTTP/0.9")
+    handler._send(200, {"status": "ok"})
+    assert [json.loads(write) for write in handler.wfile.writes] == [
+        {"status": "ok"}
+    ]
+
+
 def test_http_extract_roundtrip(live_server):
     _, server = live_server
     status, payload, _ = _request(
@@ -347,3 +433,28 @@ def test_http_swap_to_missing_version_is_structured(live_server):
     )
     assert status == 500
     assert payload["code"] == "model_error"
+
+
+def test_http_keep_alive_requests_do_not_stall(live_server):
+    """Sequential requests over one persistent connection answer in
+    about a millisecond each, not a delayed-ACK timeout (~40 ms)."""
+    _, server = live_server
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=15)
+    latencies = []
+    try:
+        for index in range(25):
+            started = time.perf_counter()
+            conn.request(
+                "POST", "/extract",
+                _body(product_id=f"k{index}", text="iro wa aka desu"),
+                {"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            latencies.append(time.perf_counter() - started)
+            assert response.status == 200
+            assert {"attribute": "iro", "value": "aka"} in payload["triples"]
+    finally:
+        conn.close()
+    assert statistics.median(latencies) < 0.020, latencies
