@@ -1,6 +1,6 @@
 # Convenience targets for the PAE reproduction.
 
-.PHONY: install test chaos chaos-env dirty serve-chaos bench bench-fast bench-runner bench-pipeline bench-train bench-scale verify examples clean
+.PHONY: install test chaos chaos-env dirty serve-chaos bench bench-fast bench-scale verify examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -42,24 +42,6 @@ bench:
 bench-fast:
 	REPRO_BENCH_PRODUCTS=120 pytest benchmarks/ --benchmark-only
 
-# Serial vs parallel sweep wall-clock -> BENCH_runner.json.
-bench-runner:
-	python benchmarks/bench_runner.py
-
-# Per-stage uncached-vs-optimized pipeline timings -> BENCH_pipeline.json.
-# The committed baseline was measured at this exact config on the commit
-# before the bucketed trainer landed; vs_previous tracks the true
-# before/after (per-stage speedups included).
-bench-pipeline:
-	PYTHONPATH=src python -m repro.perf.bench --out BENCH_pipeline.json \
-		--compare benchmarks/baselines/pre_trainer_pipeline.json
-
-# Trainer-mode micro-bench on captured real problems -> BENCH_train.json
-# (monolithic vs bucketed vs 2-worker E-step vs SGD, plus the
-# exact-path bit-identity verdict).
-bench-train:
-	PYTHONPATH=src python -m repro.perf.bench_train --out BENCH_train.json
-
 # Streamed-bootstrap scale bench: cold vs prep-cache-warm pages/sec,
 # peak RSS, shard counts and per-stage shares at 1k/10k/100k pages ->
 # BENCH_scale.json (each scale in a fresh child process so VmHWM is
@@ -68,15 +50,13 @@ bench-scale:
 	PYTHONPATH=src python -m repro.perf.bench_scale --out BENCH_scale.json
 
 # Tier-1 suite plus the serve chaos acceptance, the environment-fault
-# acceptance, a one-pass small-corpus bench smoke and the
-# sharded-vs-monolithic bit-identity gate (streamed runs with the prep
-# cache cold, warm and disabled): the quick pre-merge gate.
+# acceptance and the sharded-vs-monolithic bit-identity gate (streamed
+# runs with the prep cache cold, warm and disabled): the quick
+# pre-merge gate. The benchmark itself is `python3 perfbench/run.py`.
 verify:
 	PYTHONPATH=src pytest tests/ -x -q
 	$(MAKE) serve-chaos
 	$(MAKE) chaos-env
-	PYTHONPATH=src python -m repro.perf.bench --out /tmp/BENCH_smoke.json \
-		--products 40 --iterations 2 --repeats 1
 	PYTHONPATH=src python -m repro.perf.bench_scale --smoke
 
 examples:

@@ -136,11 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "mode — deterministic but approximate)",
     )
     run.add_argument(
-        "--estep-workers", type=int, default=None, metavar="N",
-        help="worker processes for the CRF training E-step fan-out "
-        "(output-identical for any N >= 1; default 1)",
-    )
-    run.add_argument(
         "--bench-out", metavar="PATH", default=None,
         help="write per-stage wall-clock timings and feature-cache "
         "hit/miss counters to this JSON file",
@@ -279,13 +274,27 @@ def _command_categories() -> int:
     return 0
 
 
-def _write_trace(path: str, payload: dict) -> None:
+def _missing_output_dir(args: argparse.Namespace) -> str | None:
+    """An error line if an output file's directory does not exist."""
+    import os
+
+    outputs = (("--trace", args.trace), ("--bench-out", args.bench_out))
+    for flag, path in outputs:
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            return f"{flag} {path}: directory {parent} does not exist"
+    return None
+
+
+def _write_json(path: str, payload: dict, what: str) -> None:
     import json
 
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"trace written to {path}")
+    from .runtime.storage import atomic_write_text
+
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    print(f"{what} written to {path}")
 
 
 def _print_category_report(
@@ -300,15 +309,6 @@ def _print_category_report(
     print(f"coverage:   {100 * result.coverage():.2f}%")
     print()
     print(iteration_report(result.bootstrap, truth, len(dataset)))
-
-
-def _write_bench(path: str, payloads: dict) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payloads, handle, indent=2)
-        handle.write("\n")
-    print(f"bench counters written to {path}")
 
 
 def _dirt_plan(args: argparse.Namespace):
@@ -361,18 +361,21 @@ def _print_containment(result) -> None:
 def _command_run(args: argparse.Namespace) -> int:
     from .config import CrfConfig, IngestConfig
 
+    # Output paths are checked up front: a bad one must not cost a run.
+    error = _missing_output_dir(args)
+    if error is not None:
+        print(f"repro-pae run: {error}", file=sys.stderr)
+        return 2
     categories = [
         name.strip() for name in args.category.split(",") if name.strip()
     ]
-    # Bad CRF knobs (--tag-batch-size, --trainer, --estep-workers)
-    # raise ConfigError right here, before any dataset generation.
+    # Bad CRF knobs (--tag-batch-size, --trainer) raise ConfigError
+    # right here, before any dataset generation.
     crf_kwargs = {}
     if args.tag_batch_size is not None:
         crf_kwargs["tag_batch_size"] = args.tag_batch_size
     if args.trainer is not None:
         crf_kwargs["trainer"] = args.trainer
-    if args.estep_workers is not None:
-        crf_kwargs["estep_workers"] = args.estep_workers
     crf = CrfConfig(**crf_kwargs)
     ingest_kwargs = {}
     if args.ingest_policy is not None:
@@ -412,10 +415,12 @@ def _command_run(args: argparse.Namespace) -> int:
         _print_category_report(category, dataset, result)
         _print_containment(result)
         if args.trace:
-            _write_trace(args.trace, trace.to_dict())
+            _write_json(args.trace, trace.to_dict(), "trace")
         if args.bench_out:
-            _write_bench(
-                args.bench_out, {category: result.perf_counters()}
+            _write_json(
+                args.bench_out,
+                {category: result.perf_counters()},
+                "bench counters",
             )
         return 0
     return _run_sweep(categories, config, args)
@@ -474,9 +479,13 @@ def _run_streamed(
     print()
     _print_containment(result)
     if args.trace:
-        _write_trace(args.trace, trace.to_dict())
+        _write_json(args.trace, trace.to_dict(), "trace")
     if args.bench_out:
-        _write_bench(args.bench_out, {category: result.perf_counters()})
+        _write_json(
+            args.bench_out,
+            {category: result.perf_counters()},
+            "bench counters",
+        )
     return 0
 
 
@@ -555,9 +564,9 @@ def _run_sweep(
     for line in summary["failures"]:
         print(f"  FAILED {line}")
     if args.trace:
-        _write_trace(args.trace, {"categories": traces})
+        _write_json(args.trace, {"categories": traces}, "trace")
     if args.bench_out:
-        _write_bench(args.bench_out, bench)
+        _write_json(args.bench_out, bench, "bench counters")
     return 1 if failures else 0
 
 

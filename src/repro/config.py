@@ -334,13 +334,6 @@ class CrfConfig:
     #: (opt-in minibatch Adagrad fast mode — deterministic but
     #: approximate; see repro.ml.crf.train).
     trainer: str = "lbfgs"
-    #: Unique sentences per training E-step bucket. Output-identical
-    #: for the exact trainer at any value (canonical reductions);
-    #: smaller buckets only matter for parallel E-step fan-out.
-    train_batch_size: int = 512
-    #: Worker processes for the per-bucket E-step (1 = serial; any
-    #: count is output-identical — the merge is deterministic).
-    estep_workers: int = 1
     #: Bucket size (= minibatch size) for ``trainer="sgd"``.
     sgd_batch_size: int = 32
     #: Adagrad step size for ``trainer="sgd"``.
@@ -357,10 +350,6 @@ class CrfConfig:
             raise ConfigError("tag_batch_size must be >= 1")
         if self.trainer not in ("lbfgs", "sgd"):
             raise ConfigError("trainer must be 'lbfgs' or 'sgd'")
-        if self.train_batch_size < 1:
-            raise ConfigError("train_batch_size must be >= 1")
-        if self.estep_workers < 1:
-            raise ConfigError("estep_workers must be >= 1")
         if self.sgd_batch_size < 1:
             raise ConfigError("sgd_batch_size must be >= 1")
         if self.sgd_learning_rate <= 0:
@@ -436,10 +425,6 @@ class PipelineConfig:
     #: this knob bounds it deterministically, applied identically by
     #: the monolithic and sharded paths so they stay bit-identical.
     max_labeled_sentences: int | None = None
-    #: Memoize feature extraction across bootstrap iterations (see
-    #: :mod:`repro.perf.cache`). Output-invisible; off only to measure
-    #: the uncached baseline.
-    enable_feature_cache: bool = True
     #: Reuse shard-prep artifacts (gate + tokenize + candidate mining)
     #: across runs of the same source and gate/tokenizer config (see
     #: :mod:`repro.perf.prep_cache`). Output-invisible — a cache hit

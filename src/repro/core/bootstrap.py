@@ -340,17 +340,9 @@ class Bootstrapper:
         # the feature cache makes iterations 2+ reuse iteration 1's
         # extraction work, and `warm_models` carries the previous
         # iteration's word2vec model when warm starts are enabled.
-        feature_cache: FeatureCache | bool | None = None
+        feature_cache: FeatureCache | None = None
         if self.config.tagger in ("crf", "ensemble"):
-            # False (not None) when disabled: the tagger then runs the
-            # reference string-feature path with no private cache
-            # either, so enable_feature_cache=False really measures an
-            # uncached run (see perf/bench.py).
-            feature_cache = (
-                FeatureCache(window=self.config.crf.window)
-                if self.config.enable_feature_cache
-                else False
-            )
+            feature_cache = FeatureCache(window=self.config.crf.window)
         warm_models: list["Word2Vec | None"] = [None]
         start_iteration = 1
         if checkpoint is not None:
@@ -419,7 +411,7 @@ class Bootstrapper:
                         stage, checkpoint, result, dataset
                     ),
                 )
-        if isinstance(feature_cache, FeatureCache):
+        if feature_cache is not None:
             trace.count(
                 "feature_cache",
                 hits=feature_cache.hits,
@@ -730,7 +722,7 @@ class Bootstrapper:
         cumulative: set[Triple],
         trace: PipelineTrace,
         faults: "FaultPlan | None" = None,
-        feature_cache: FeatureCache | bool | None = None,
+        feature_cache: FeatureCache | None = None,
         warm_models: list["Word2Vec | None"] | None = None,
     ) -> tuple[IterationResult, _IterationArtifacts]:
         if not dataset:
@@ -838,7 +830,7 @@ class Bootstrapper:
         stage,
         iteration: int,
         dataset: list[TaggedSentence],
-        feature_cache: FeatureCache | bool | None = None,
+        feature_cache: FeatureCache | None = None,
     ):
         # The model is built inside the stage body so a retried stage
         # trains a fresh, identically-seeded tagger. The shared feature

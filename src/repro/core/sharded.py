@@ -642,13 +642,9 @@ class ShardedBootstrapper(Bootstrapper):
         dataset: list[TaggedSentence] = list(seed_labeled)
         cumulative: set[Triple] = set(seed_triples)
         iterations: list[IterationResult] = []
-        feature_cache: FeatureCache | bool | None = None
+        feature_cache: FeatureCache | None = None
         if self.config.tagger in ("crf", "ensemble"):
-            feature_cache = (
-                FeatureCache(window=self.config.crf.window)
-                if self.config.enable_feature_cache
-                else False
-            )
+            feature_cache = FeatureCache(window=self.config.crf.window)
         warm_models: list["Word2Vec | None"] = [None]
         start_iteration = 1
         if checkpoint is not None:
@@ -718,7 +714,7 @@ class ShardedBootstrapper(Bootstrapper):
                 if not self._checkpoint_disabled:
                     # The iteration snapshot supersedes its shard files.
                     checkpoint.clear_shard_tags(iteration)
-        if isinstance(feature_cache, FeatureCache):
+        if feature_cache is not None:
             trace.count(
                 "feature_cache",
                 hits=feature_cache.hits,
@@ -1039,7 +1035,7 @@ class ShardedBootstrapper(Bootstrapper):
         cumulative: set[Triple],
         trace: PipelineTrace,
         faults: "FaultPlan | None",
-        feature_cache: FeatureCache | bool | None = None,
+        feature_cache: FeatureCache | None = None,
         warm_models: list["Word2Vec | None"] | None = None,
         checkpoint: "CheckpointStore | None" = None,
         *,

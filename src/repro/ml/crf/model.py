@@ -33,9 +33,9 @@ class CrfTagger:
             iteration 1's extraction work). A private cache is created
             when omitted; ``False`` disables caching entirely and runs
             the reference string-feature path (re-extracting on every
-            call — the benchmark's "uncached" mode). A supplied cache
-            must match the configured feature window. Every choice is
-            output-identical; only wall-clock differs.
+            call — the reference the tests check the cache against).
+            A supplied cache must match the configured feature window.
+            Every choice is output-identical; only wall-clock differs.
     """
 
     def __init__(
@@ -124,8 +124,6 @@ class CrfTagger:
             problem, self.config.l1, self.config.l2,
             self.config.max_iterations,
             trainer=self.config.trainer,
-            batch_size=self.config.train_batch_size,
-            estep_workers=self.config.estep_workers,
             sgd_batch_size=self.config.sgd_batch_size,
             sgd_learning_rate=self.config.sgd_learning_rate,
             diagnostics=self.training_diagnostics,

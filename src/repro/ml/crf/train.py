@@ -24,22 +24,20 @@ batch that was mostly padding. ``_Workspace`` now
   — zero padding, contiguous prefix slices per recursion step,
 * runs the E-step per bucket through
   :class:`~repro.ml.crf.inference.PackedEstep` (scaled probability
-  space, per-bucket scratch buffers), optionally fanning buckets
-  across forked worker processes.
+  space, per-bucket scratch buffers).
 
 Determinism contract: every per-sentence quantity is computed
 independently of bucket composition, and all cross-sentence
 reductions happen in one canonical order — sentence-major scatter of
 the unique sentences, then a single sparse matmul / sum. The exact
-L-BFGS path is therefore bit-identical for any ``batch_size`` and any
-worker count. The opt-in ``trainer="sgd"`` mode trades that exactness
-for speed (per-bucket Adagrad steps with a seeded shuffle — still
-deterministic run-to-run, but a different optimum than L-BFGS).
+L-BFGS path is therefore bit-identical for any ``batch_size``. The
+opt-in ``trainer="sgd"`` mode trades that exactness for speed
+(per-bucket Adagrad steps with a seeded shuffle — still deterministic
+run-to-run, but a different optimum than L-BFGS).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,17 +113,6 @@ class _Bucket:
     def run(self, unary, trans_exp, trans_max):
         scores = self.design_pk @ unary
         return self.estep.run(scores, trans_exp, trans_max)
-
-
-#: Workspace inherited by forked E-step workers (set only around the
-#: fork; workers read their copy-on-write snapshot).
-_FORK_WORKSPACE: "_Workspace | None" = None
-
-
-def _pool_estep(task):
-    index, unary, trans_exp, trans_max = task
-    assert _FORK_WORKSPACE is not None
-    return _FORK_WORKSPACE.buckets[index].run(unary, trans_exp, trans_max)
 
 
 class _Workspace:
@@ -240,30 +227,7 @@ class _Workspace:
         self.grad = np.empty(self.n_params)
         self._reg1 = np.empty(self.n_params)
         self._reg2 = np.empty(self.n_params)
-        self._pool = None
         self._sgd_ready = False
-
-    # -- E-step dispatch ---------------------------------------------------
-
-    def estep(self, unary, trans_exp, trans_max):
-        """Per-bucket E-step results, in bucket order.
-
-        Runs serially, or across the attached worker pool; the merge
-        (done by the caller's canonical scatters) is identical either
-        way because every bucket's output is bucket-independent.
-        """
-        if self._pool is not None and len(self.buckets) > 1:
-            return self._pool.map(
-                _pool_estep,
-                [
-                    (index, unary, trans_exp, trans_max)
-                    for index in range(len(self.buckets))
-                ],
-            )
-        return [
-            bucket.run(unary, trans_exp, trans_max)
-            for bucket in self.buckets
-        ]
 
     # -- SGD constants -----------------------------------------------------
 
@@ -323,11 +287,11 @@ def _objective(
 
     # Scatter every bucket's per-sentence results into sentence-major
     # canonical arrays; the scatter targets are disjoint, so bucket
-    # partitioning and worker scheduling cannot reorder anything.
-    results = workspace.estep(unary, trans_exp, trans_max)
-    for bucket, (log_z, marginals, seq_trans) in zip(
-        workspace.buckets, results
-    ):
+    # partitioning cannot reorder anything.
+    for bucket in workspace.buckets:
+        log_z, marginals, seq_trans = bucket.run(
+            unary, trans_exp, trans_max
+        )
         workspace.log_z[bucket.sent_ids] = log_z
         workspace.expected_flat[bucket.flat] = marginals
         workspace.seq_trans[bucket.sent_ids] = seq_trans
@@ -467,27 +431,6 @@ def _minimize_lbfgs_direct(
     )
 
 
-def _open_pool(workspace: _Workspace, workers: int):
-    """A fork-based worker pool over the workspace, or None.
-
-    Workers inherit the workspace via copy-on-write fork memory, so
-    nothing is pickled at setup; each task ships only the weight
-    matrices. Platforms without fork (or fork failures) fall back to
-    the serial path — the results are bit-identical either way.
-    """
-    if workers <= 1 or len(workspace.buckets) < 2:
-        return None
-    global _FORK_WORKSPACE
-    try:
-        context = multiprocessing.get_context("fork")
-        _FORK_WORKSPACE = workspace
-        return context.Pool(min(workers, len(workspace.buckets)))
-    except (ValueError, OSError):
-        return None
-    finally:
-        _FORK_WORKSPACE = None
-
-
 def _train_sgd(
     workspace: _Workspace,
     l1: float,
@@ -550,7 +493,6 @@ def train_crf(
     *,
     trainer: str = "lbfgs",
     batch_size: int | None = None,
-    estep_workers: int = 1,
     sgd_batch_size: int = 32,
     sgd_learning_rate: float = 0.5,
     diagnostics: dict | None = None,
@@ -566,8 +508,6 @@ def train_crf(
         batch_size: unique sentences per E-step bucket
             (default :data:`DEFAULT_TRAIN_BATCH`); output-identical
             for the exact trainer.
-        estep_workers: worker processes for the per-bucket E-step
-            fan-out (deterministic merge; 1 = serial).
         sgd_batch_size: bucket size for ``trainer="sgd"``.
         sgd_learning_rate: Adagrad step size for ``trainer="sgd"``.
         diagnostics: optional dict that receives counted training
@@ -599,29 +539,21 @@ def train_crf(
 
     workspace = _Workspace(problem, batch_size=batch_size)
     start = np.zeros(workspace.n_params, dtype=np.float64)
-    pool = _open_pool(workspace, estep_workers)
-    workspace._pool = pool
-    try:
-        result = _minimize_lbfgs_direct(
-            start, workspace, l1, l2, max_iterations, _LBFGS_HISTORY
+    result = _minimize_lbfgs_direct(
+        start, workspace, l1, l2, max_iterations, _LBFGS_HISTORY
+    )
+    if result is None:  # private scipy interface didn't match
+        result = optimize.minimize(
+            _objective,
+            start,
+            args=(workspace, l1, l2),
+            method="L-BFGS-B",
+            jac=True,
+            options={
+                "maxiter": max_iterations,
+                "maxcor": _LBFGS_HISTORY,
+            },
         )
-        if result is None:  # private scipy interface didn't match
-            result = optimize.minimize(
-                _objective,
-                start,
-                args=(workspace, l1, l2),
-                method="L-BFGS-B",
-                jac=True,
-                options={
-                    "maxiter": max_iterations,
-                    "maxcor": _LBFGS_HISTORY,
-                },
-            )
-    finally:
-        workspace._pool = None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
     if not result.success:
         message = str(result.message).upper()
         if "ITERATIONS" in message:

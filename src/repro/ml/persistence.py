@@ -33,6 +33,11 @@ MODEL_FILES = ("meta.json", "weights.npz")
 
 MANIFEST_NAME = "MANIFEST.json"
 
+#: Training-only ``CrfConfig`` fields that models saved by earlier
+#: versions still carry. They never affected tagging, so loading drops
+#: them instead of refusing the model.
+_RETIRED_CRF_FIELDS = frozenset({"train_batch_size", "estep_workers"})
+
 
 def _write(directory: pathlib.Path, meta: dict, arrays: dict) -> None:
     directory.mkdir(parents=True, exist_ok=True)
@@ -207,7 +212,12 @@ def load_crf(directory: str | pathlib.Path) -> CrfTagger:
     meta, arrays = _read(pathlib.Path(directory))
     if meta.get("kind") != "crf":
         raise ModelError(f"not a CRF model: {meta.get('kind')!r}")
-    tagger = CrfTagger(CrfConfig(**meta["config"]))
+    config = {
+        key: value
+        for key, value in meta["config"].items()
+        if key not in _RETIRED_CRF_FIELDS
+    }
+    tagger = CrfTagger(CrfConfig(**config))
     tagger._labels = list(meta["labels"])
     tagger._label_index = {
         label: index for index, label in enumerate(tagger._labels)

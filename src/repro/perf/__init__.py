@@ -1,11 +1,12 @@
-"""Hot-path performance layer: caching, batching, benchmarking.
+"""Hot-path performance layer: caching, batching, the scale benchmark.
 
 Everything in this package is determinism-preserving: the feature
 cache memoizes a pure function, length-bucketed tagging decodes each
-sentence independently of its batch, and the benchmark harness only
-measures. Pipeline output with these optimisations enabled is
-bit-identical to the unoptimised path (asserted in
-``tests/test_perf_cache.py``).
+sentence independently of its batch, the prep cache replays recorded
+shard-prep outcomes, and ``bench_scale`` only measures. Pipeline output
+with these optimisations enabled is bit-identical to the unoptimised
+path (asserted in ``tests/test_perf_cache.py`` and
+``tests/test_prep_cache.py``).
 """
 
 from .bucketing import length_buckets

@@ -123,6 +123,23 @@ def test_run_command_rejects_bad_tag_batch_size():
         )
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--bench-out"])
+def test_run_command_rejects_missing_output_dir(capsys, tmp_path, flag):
+    out_path = tmp_path / "missing" / "out.json"
+    code = main(
+        [
+            "run", "--category", "tennis", "--products", "40",
+            "--iterations", "1", flag, str(out_path),
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "precision:" not in captured.out
+    assert flag in captured.err
+    assert "does not exist" in captured.err
+    assert not out_path.parent.exists()
+
+
 def test_run_command_writes_bench_counters(capsys, tmp_path):
     bench_path = tmp_path / "bench.json"
     code = main(

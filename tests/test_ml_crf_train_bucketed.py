@@ -78,13 +78,9 @@ def test_trained_weights_bit_identical_across_buckets(mix):
     unary_mono, trans_mono = train_crf(
         problem, 0.05, 0.05, 25, batch_size=_UNBUCKETED
     )
-    for kwargs in (
-        {"batch_size": 4},
-        {"batch_size": 4, "estep_workers": 2},
-    ):
-        unary, trans = train_crf(problem, 0.05, 0.05, 25, **kwargs)
-        assert np.array_equal(unary, unary_mono), kwargs
-        assert np.array_equal(trans, trans_mono), kwargs
+    unary, trans = train_crf(problem, 0.05, 0.05, 25, batch_size=4)
+    assert np.array_equal(unary, unary_mono)
+    assert np.array_equal(trans, trans_mono)
 
 
 def test_direct_lbfgs_driver_matches_scipy_minimize():

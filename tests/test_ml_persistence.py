@@ -1,5 +1,6 @@
 """Tests for model save/load round-trips."""
 
+import json
 import random
 
 import numpy as np
@@ -58,6 +59,23 @@ class TestCrfPersistence:
         assert loaded.config == original.config
         assert loaded.labels == original.labels
         assert loaded.feature_count == original.feature_count
+
+    def test_loads_model_saved_with_retired_config_fields(
+        self, training_data, sentences, tmp_path
+    ):
+        original = CrfTagger(CrfConfig(max_iterations=20)).train(
+            training_data
+        )
+        save_crf(original, tmp_path / "crf")
+        meta_path = tmp_path / "crf" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"].update(train_batch_size=512, estep_workers=1)
+        meta_path.write_text(json.dumps(meta))
+        loaded = load_crf(tmp_path / "crf")
+        assert loaded.config == original.config
+        assert [p.labels for p in loaded.tag(sentences)] == [
+            p.labels for p in original.tag(sentences)
+        ]
 
     def test_save_unfitted_raises(self, tmp_path):
         with pytest.raises(NotFittedError):

@@ -10,6 +10,7 @@ import pytest
 
 from repro import PAEPipeline, PipelineConfig
 from repro.config import CrfConfig, SemanticConfig
+from repro.core import bootstrap as bootstrap_module
 from repro.corpus import Marketplace
 from repro.errors import EmbeddingError
 from repro.embeddings import Word2Vec
@@ -237,20 +238,32 @@ def _triples(result):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-def test_pipeline_bit_identical_with_and_without_fast_paths(seed):
+def test_pipeline_bit_identical_with_and_without_fast_paths(
+    seed, monkeypatch
+):
     """Cache + bucketing change wall-clock, never the output."""
     dataset = Marketplace(seed=seed).generate("vacuum_cleaner", 30)
     fast = PAEPipeline(
         PipelineConfig(iterations=2, seed=seed)
     ).run(dataset.product_pages, dataset.query_log)
+
+    # The reference run: every iteration's CRF uses the string-feature
+    # path (no cache at all) and decodes in one monolithic batch.
+    plain_taggers = []
+
+    def string_path_tagger(config, iteration=0, feature_cache=None):
+        plain_taggers.append(CrfTagger(config.crf, feature_cache=False))
+        return plain_taggers[-1]
+
+    monkeypatch.setattr(bootstrap_module, "make_tagger", string_path_tagger)
     plain = PAEPipeline(
         PipelineConfig(
             iterations=2,
             seed=seed,
-            enable_feature_cache=False,
             crf=CrfConfig(tag_batch_size=10**9),
         )
     ).run(dataset.product_pages, dataset.query_log)
+    assert len(plain_taggers) == 2
     assert _triples(fast) == _triples(plain)
     counters = fast.perf_counters()["feature_cache"]
     assert counters["hits"] > 0
